@@ -60,11 +60,12 @@ fuzz:
 
 # Benchmark regression harness: runs the pipeline window benchmarks
 # (sequential and parallel) and distills ns/op, events/sec and allocs/op
-# into BENCH_pr6.json. Format documented in EXPERIMENTS.md.
+# into BENCH_local.json (git-ignored, so a local run never rewrites the
+# committed bench-check baseline). Format documented in EXPERIMENTS.md.
 BENCHTIME ?= 1x
 .PHONY: bench
 bench:
-	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -out BENCH_pr6.json
+	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -out BENCH_local.json
 
 # Benchmark regression smoke: one short fresh run of the parallel-window
 # benchmark diffed against the committed baseline. Fails on an allocs/op

@@ -411,7 +411,7 @@ func BenchmarkPipelineWindow(b *testing.B) {
 // Berkeley-scale churn stream at increasing worker counts. The output is
 // byte-identical at every worker count (see the pipeline's differential
 // equivalence suite); only wall-clock changes. `make bench` distills
-// these runs into BENCH_pr6.json (format in EXPERIMENTS.md).
+// these runs into BENCH_local.json (format in EXPERIMENTS.md).
 func BenchmarkParallelWindow(b *testing.B) {
 	d := berkeleyAt(b, 23_000)
 	const n = 100_000
@@ -446,7 +446,7 @@ func BenchmarkParallelWindow(b *testing.B) {
 // the picture. The instant is the newest event, so every iteration pays
 // the worst case — a full-journal scan and replay; the serving tier's
 // instant cache amortizes this to zero for repeat queries. `make bench`
-// distills this into BENCH_pr6.json as the replay-latency entry.
+// distills this into BENCH_local.json as the replay-latency entry.
 func BenchmarkReplayAt(b *testing.B) {
 	d := berkeleyAt(b, 23_000)
 	const n = 20_000

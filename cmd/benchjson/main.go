@@ -40,7 +40,7 @@ type Result struct {
 	BytesPerOp   float64 `json:"bytes_per_op"`
 }
 
-// File is the top-level BENCH_pr6.json document.
+// File is the top-level BENCH_<label>.json document.
 type File struct {
 	GoVersion  string             `json:"go_version"`
 	GOOS       string             `json:"goos"`
@@ -54,7 +54,7 @@ type File struct {
 func main() {
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime value")
 	pattern := flag.String("bench", "^(BenchmarkPipelineWindow|BenchmarkParallelWindow|BenchmarkReplayAt)$", "benchmark regexp")
-	out := flag.String("out", "BENCH_pr6.json", "output JSON path")
+	out := flag.String("out", "BENCH_local.json", "output JSON path (the committed BENCH_pr*.json files are baselines; keep them out of local runs)")
 	compare := flag.String("compare", "", "baseline JSON to diff against instead of writing (exit 1 on regression)")
 	maxAllocRatio := flag.Float64("max-alloc-ratio", 1.25, "compare: fail when allocs/op exceeds baseline by this factor")
 	minEventsRatio := flag.Float64("min-events-ratio", 0.5, "compare: fail when events/sec falls below this fraction of baseline")

@@ -3,10 +3,11 @@ package pipeline
 import "rex/internal/obs"
 
 // Streaming-engine metrics. The settle histogram is fed by the
-// stemming.Window.OnSettle hook — it times the parallel count-table
-// batch settles, the hottest recurring work in the engine — and the
-// snapshot histogram times full decomposition+picture assembly, the
-// operation whose latency bounds how fresh a spike report can be.
+// stemming.Window.OnSettle hook — it times the parallel batch settles
+// of the window's per-prefix event lists — and the snapshot histogram
+// times full decomposition+picture assembly, the operation whose
+// latency bounds how fresh a spike report can be; its Stemming and TAMP
+// parts each have their own histogram.
 var (
 	mEvents = obs.NewCounter("rex_pipeline_events_total",
 		"Events ingested by the streaming pipeline.")
@@ -19,9 +20,13 @@ var (
 	mSpikes = obs.NewCounter("rex_pipeline_spikes_total",
 		"Rate spikes detected (median + k*MAD crossings reported once each).")
 	mSettleSeconds = obs.NewHistogram("rex_pipeline_settle_seconds",
-		"Latency of sliding-window count-table settle batches.", nil)
+		"Latency of sliding-window event-list settle batches.", nil)
 	mSnapshotSeconds = obs.NewHistogram("rex_pipeline_snapshot_seconds",
 		"Latency of full snapshot assembly (decomposition + TAMP picture).", nil)
+	mSnapshotStemmingSeconds = obs.NewHistogram("rex_pipeline_snapshot_stemming_seconds",
+		"Latency of the Stemming decomposition within each snapshot.", nil)
+	mSnapshotTAMPSeconds = obs.NewHistogram("rex_pipeline_snapshot_tamp_seconds",
+		"Latency of the TAMP picture merge within each snapshot.", nil)
 	mShed = obs.NewCounter("rex_pipeline_shed_total",
 		"Events shed by TryIngest because the ingest buffer was full.")
 	mSeeded = obs.NewCounter("rex_pipeline_seeded_total",
@@ -29,7 +34,7 @@ var (
 	mSeedStale = obs.NewCounter("rex_pipeline_seed_stale_total",
 		"Checkpoint seeds dropped because a live event already touched the route key during recovery.")
 	mShards = obs.NewGauge("rex_shard_count",
-		"Prefix shards partitioning the analysis state (count tables and TAMP shadow).")
+		"Prefix shards partitioning the analysis state (window event lists and TAMP shadow).")
 	mShardRouteOps = obs.NewCounter("rex_shard_route_ops_total",
 		"Routing changes routed to prefix-sharded TAMP shadows.")
 	mShardFlushes = obs.NewCounter("rex_shard_flushes_total",

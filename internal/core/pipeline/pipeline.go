@@ -1,18 +1,18 @@
 // Package pipeline is the streaming analysis engine: it consumes the
 // collector's live event stream (or a replayed one), maintains a sliding
-// time window of events with incrementally-updated Stemming count tables
-// and a TAMP routing graph, and emits analysis snapshots — on a periodic
-// event-time tick, whenever the event rate spikes above the robust
-// baseline, and once at shutdown. It is the always-on form of the
+// time window of events with an incrementally-updated Stemming count
+// table and a TAMP routing graph, and emits analysis snapshots — on a
+// periodic event-time tick, whenever the event rate spikes above the
+// robust baseline, and once at shutdown. It is the always-on form of the
 // paper's workflow: rather than re-scanning a buffered stream on demand,
 // the window turns over continuously and every snapshot is a full
 // decomposition of exactly the last Window of routing activity plus a
 // pruned picture of the routing state at that instant.
 //
-// All analysis state is sharded by interned prefix: event i's prefix
-// picks both its Stemming count shard and its TAMP sub-graph, so the
-// shards partition the prefix space and merge deterministically at
-// snapshot time (DESIGN.md §10). Workers controls only how many
+// Per-prefix analysis state is sharded by a hash of the prefix: event
+// i's prefix picks both its Stemming event-list shard and its TAMP
+// sub-graph, so the shards partition the prefix space and merge
+// deterministically at snapshot time (DESIGN.md §10). Workers controls only how many
 // goroutines execute shard work — the shard layout, and therefore every
 // snapshot byte, is identical at any worker count.
 package pipeline
@@ -77,9 +77,9 @@ type Snapshot struct {
 
 // DefaultShards is the default prefix-shard count. It is a fixed number
 // rather than GOMAXPROCS on purpose: the shard layout is part of the
-// analysis semantics (it fixes the floating-point merge order of the
-// count tables and the per-shard TAMP MaxEver peaks), so a fixed default
-// keeps snapshots reproducible across machines, not just across runs.
+// analysis semantics (it fixes the per-shard TAMP MaxEver peaks), so a
+// fixed default keeps snapshots reproducible across machines, not just
+// across runs.
 const DefaultShards = 16
 
 // Config tunes the pipeline. The zero value is usable.
@@ -101,9 +101,9 @@ type Config struct {
 	// Prune controls Picture pruning.
 	Prune tamp.PruneOptions
 	// Shards is the prefix-shard parallelism of the analysis state — the
-	// Stemming count tables and the TAMP shadow are both partitioned by
-	// interned prefix modulo Shards (0 = DefaultShards). Results depend
-	// on the shard count only through float summation order and the
+	// Stemming window's per-prefix event lists and the TAMP shadow are
+	// both partitioned by a hash of the prefix modulo Shards (0 =
+	// DefaultShards). Results depend on the shard count only through the
 	// per-shard MaxEver rule, never on Workers.
 	Shards int
 	// Workers is how many goroutines execute shard work. 0 or 1 runs
@@ -745,13 +745,17 @@ func (st *state) snapshot(trig Trigger, sp *event.Spike) Snapshot {
 	// TimeRange never copy the ring; events are copied out only when the
 	// caller asked for them.
 	s := Snapshot{
-		At:         st.clock,
-		Trigger:    trig,
-		Events:     st.win.Len(),
-		Components: st.win.Snapshot(),
-		Picture:    tamp.MergeSnapshot(st.p.cfg.Site, st.graphs, st.p.cfg.Prune),
-		Spike:      sp,
+		At:      st.clock,
+		Trigger: trig,
+		Events:  st.win.Len(),
+		Spike:   sp,
 	}
+	stemStart := time.Now()
+	s.Components = st.win.Snapshot()
+	tampStart := time.Now()
+	s.Picture = tamp.MergeSnapshot(st.p.cfg.Site, st.graphs, st.p.cfg.Prune)
+	mSnapshotStemmingSeconds.Observe(tampStart.Sub(stemStart).Seconds())
+	mSnapshotTAMPSeconds.Observe(time.Since(tampStart).Seconds())
 	if first, last, ok := st.win.TimeRange(); ok {
 		s.WindowStart, s.WindowEnd = first, last
 	}

@@ -100,6 +100,22 @@ func TestTickSnapshots(t *testing.T) {
 	}
 }
 
+// TestSnapshotStageHistograms: every snapshot observes the Stemming and
+// TAMP stage histograms exactly once each, beside the whole-snapshot one.
+func TestSnapshotStageHistograms(t *testing.T) {
+	before := [3]uint64{mSnapshotSeconds.Count(), mSnapshotStemmingSeconds.Count(), mSnapshotTAMPSeconds.Count()}
+	snaps := Replay(churnStream(600, time.Second, 2), Config{Window: 5 * time.Minute, SnapshotEvery: 2 * time.Minute})
+	n := uint64(len(snaps))
+	if n < 2 {
+		t.Fatalf("only %d snapshots", n)
+	}
+	for i, h := range []interface{ Count() uint64 }{mSnapshotSeconds, mSnapshotStemmingSeconds, mSnapshotTAMPSeconds} {
+		if got := h.Count() - before[i]; got != n {
+			t.Errorf("histogram %d observed %d times for %d snapshots", i, got, n)
+		}
+	}
+}
+
 // TestSpikeTriggeredSnapshot: a surge above the MAD threshold must emit a
 // TriggerSpike snapshot whose decomposition names the surge's shared
 // trunk, while quiet churn alone emits none.

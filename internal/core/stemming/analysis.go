@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"rex/internal/event"
@@ -36,11 +37,12 @@ func packID(k Kind, idx uint32) uint32 { return uint32(k-1)<<kindShift | idx }
 
 func unpackID(id uint32) (Kind, uint32) { return Kind(id>>kindShift) + 1, id & idxMask }
 
-// interner assigns dense IDs to peers, nexthops, ASNs and prefixes, and
-// interns whole event sequences (see seqEntry). Intern tables only grow;
-// a long-lived Window's interner retains every distinct token and
-// sequence it has ever seen, which is the deliberate trade that makes
-// the steady-state count path allocation-free.
+// interner assigns dense IDs to peers, nexthops, ASNs and prefixes,
+// interns whole event sequences (see seqEntry), and gives every distinct
+// sub-sequence key a dense key ID for the count tables. Intern tables
+// only grow; a long-lived Window's interner retains every distinct
+// token, sequence and key it has ever seen, which is the deliberate
+// trade that makes the steady-state count path allocation-free.
 type interner struct {
 	peerIDs map[netip.Addr]uint32
 	nhIDs   map[netip.Addr]uint32
@@ -53,24 +55,29 @@ type interner struct {
 
 	// Sequence interning: one entry per distinct packed sequence, keyed
 	// by the big-endian byte form. maxSubseqLen is fixed at construction
-	// (it shapes each entry's cached key set).
+	// (it shapes each entry's key set).
 	seqs         map[string]*seqEntry
 	maxSubseqLen int
 	scratchSeq   []uint32
 	scratchRaw   []byte
+
+	// Key interning: keyIDs maps a sub-sequence key's byte form to its
+	// dense ID; keys decodes an ID back, for the component report and
+	// the content-order tie-break. paths caches, per distinct path (a
+	// sequence without its prefix), the IDs of the keys within it.
+	keyIDs map[string]uint32
+	keys   []string
+	paths  map[string][]uint32
 }
 
-// seqEntry is one interned event sequence: the packed token IDs, their
-// byte encoding, the prefix ID (always the last token), and every
-// contiguous sub-sequence key of >= 2 tokens, materialized once. The
-// keys all share ent.raw's backing string, so an entry costs a handful
-// of allocations no matter how often its sequence recurs — count-table
-// updates then reuse these strings and allocate nothing.
+// seqEntry is one interned event sequence: its prefix ID (always the
+// last token) and the key ID of every contiguous sub-sequence of >= 2
+// tokens, resolved once. An entry costs a handful of allocations no
+// matter how often its sequence recurs, and count updates index dense
+// tables by kids without hashing anything.
 type seqEntry struct {
-	seq  []uint32
-	raw  []byte
 	pid  uint32
-	keys []string
+	kids []uint32
 }
 
 func newInterner(maxSubseqLen int) *interner {
@@ -81,6 +88,8 @@ func newInterner(maxSubseqLen int) *interner {
 		pfxIDs:       make(map[netip.Prefix]uint32),
 		seqs:         make(map[string]*seqEntry),
 		maxSubseqLen: maxSubseqLen,
+		keyIDs:       make(map[string]uint32),
+		paths:        make(map[string][]uint32),
 	}
 }
 
@@ -202,54 +211,62 @@ type analysis struct {
 	in     *interner
 
 	ents    []*seqEntry // per-event interned sequence
-	weights []float64
+	weights []int64     // per-event fixed-point weight
 	alive   []bool
 	liveN   int
 
-	counts         map[string]float64
-	eventsByPrefix map[uint32][]int
-	// idxArena backs eventsByPrefix's value slices when the analysis is
-	// a Window's reused snapshot scratch (see Window.Snapshot); the batch
-	// path builds the lists by plain append instead.
-	idxArena []int
+	counts countTable
+	// eventsByPrefix lists each prefix's live event indexes in arrival
+	// order, indexed by the prefix's intern index. idxArena backs the
+	// lists when the analysis is a Window's reused snapshot scratch (see
+	// Window.Snapshot); the batch path builds them by plain append.
+	eventsByPrefix [][]int
+	idxArena       []int
+	// pfxMark[idx] == epoch marks prefix idx as already in the component
+	// being extracted; bumping epoch clears every mark at once.
+	pfxMark []uint32
+	epoch   uint32
 }
 
 func newAnalysis(s event.Stream, cfg Config) *analysis {
 	a := &analysis{
-		cfg:            cfg,
-		stream:         s,
-		in:             newInterner(cfg.MaxSubseqLen),
-		ents:           make([]*seqEntry, len(s)),
-		weights:        make([]float64, len(s)),
-		alive:          make([]bool, len(s)),
-		liveN:          len(s),
-		counts:         make(map[string]float64, len(s)*8),
-		eventsByPrefix: make(map[uint32][]int, len(s)/2),
+		cfg:     cfg,
+		stream:  s,
+		in:      newInterner(cfg.MaxSubseqLen),
+		ents:    make([]*seqEntry, len(s)),
+		weights: make([]int64, len(s)),
+		alive:   make([]bool, len(s)),
+		liveN:   len(s),
 	}
 	for i := range s {
 		e := &s[i]
 		ent := a.in.seqFor(e)
 		a.ents[i] = ent
 		a.alive[i] = true
-		w := 1.0
+		w := int64(weightUnit)
 		if cfg.Weight != nil {
-			w = cfg.Weight(e)
+			w = quantize(cfg.Weight(e))
 		}
 		a.weights[i] = w
-		a.eventsByPrefix[ent.pid] = append(a.eventsByPrefix[ent.pid], i)
-		a.addCounts(i, w)
+		_, idx := unpackID(ent.pid)
+		if int(idx) == len(a.eventsByPrefix) {
+			a.eventsByPrefix = append(a.eventsByPrefix, nil)
+		}
+		a.eventsByPrefix[idx] = append(a.eventsByPrefix[idx], i)
+		a.counts.fit(len(a.in.keys))
+		a.counts.add(ent.kids, w)
 	}
 	return a
 }
 
-// reset prepares a reused analysis for n events: slices are regrown in
-// place and the maps are cleared with their buckets retained, so a
-// steady-state Window snapshot reallocates none of its scratch.
+// reset prepares a reused analysis for n events: slices are regrown or
+// cleared in place, so a steady-state Window snapshot reallocates none
+// of its scratch. The count table is overwritten by countTable.load.
 func (a *analysis) reset(n int) {
 	if cap(a.ents) < n {
 		a.stream = make(event.Stream, n)
 		a.ents = make([]*seqEntry, n)
-		a.weights = make([]float64, n)
+		a.weights = make([]int64, n)
 		a.alive = make([]bool, n)
 	} else {
 		a.stream = a.stream[:n]
@@ -258,15 +275,9 @@ func (a *analysis) reset(n int) {
 		a.alive = a.alive[:n]
 	}
 	a.liveN = n
-	if a.counts == nil {
-		a.counts = make(map[string]float64, 1024)
-	} else {
-		clear(a.counts)
-	}
-	if a.eventsByPrefix == nil {
-		a.eventsByPrefix = make(map[uint32][]int, 64)
-	} else {
-		clear(a.eventsByPrefix)
+	clear(a.eventsByPrefix)
+	if grow := len(a.in.pfxs) - len(a.eventsByPrefix); grow > 0 {
+		a.eventsByPrefix = append(a.eventsByPrefix, make([][]int, grow)...)
 	}
 	if cap(a.idxArena) < n {
 		a.idxArena = make([]int, 0, n)
@@ -306,95 +317,82 @@ func (in *interner) seqFor(e *event.Event) *seqEntry {
 	if ent, ok := in.seqs[string(raw)]; ok {
 		return ent
 	}
-	ent := &seqEntry{
-		seq: append([]uint32(nil), seq...),
-		raw: append([]byte(nil), raw...),
-		pid: pid,
-	}
-	ent.buildKeys(in.maxSubseqLen)
-	in.seqs[string(ent.raw)] = ent
+	s := string(raw)
+	ent := &seqEntry{pid: pid, kids: in.keyIDsOf(s)}
+	in.seqs[s] = ent
 	return ent
 }
 
-// buildKeys materializes every contiguous sub-sequence key of >= 2
-// tokens (capped at maxSubseqLen when > 1), in the same order the count
-// loop historically visited them. All keys are substrings of one backing
-// string, so the whole set costs two allocations.
-func (e *seqEntry) buildKeys(maxSubseqLen int) {
-	maxLen := len(e.seq)
-	if maxSubseqLen > 1 && maxSubseqLen < maxLen {
-		maxLen = maxSubseqLen
+// keyIDsOf resolves the key ID of every contiguous sub-sequence of >= 2
+// tokens (capped at maxSubseqLen when > 1) of the sequence whose byte
+// form is s. The keys that end before the last token (the prefix)
+// depend only on the path x h a1 … an, which every prefix routed along
+// it shares, so they are resolved once per distinct path; a new
+// sequence on a known path looks up only the keys ending at its prefix.
+// A sequence that repeats a run (AS-path prepending) yields that key
+// once per occurrence, and so counts it once per occurrence.
+func (in *interner) keyIDsOf(s string) []uint32 {
+	n := len(s) / idBytes
+	maxLen := n
+	if in.maxSubseqLen > 1 && in.maxSubseqLen < maxLen {
+		maxLen = in.maxSubseqLen
 	}
-	n := 0
-	for start := 0; start < len(e.seq)-1; start++ {
-		end := start + maxLen
-		if end > len(e.seq) {
-			end = len(e.seq)
+	path := s[:len(s)-idBytes]
+	head, ok := in.paths[path]
+	if !ok {
+		for stop := 2; stop < n; stop++ {
+			for start := max(stop-maxLen, 0); start <= stop-2; start++ {
+				head = append(head, in.keyID(s[start*idBytes:stop*idBytes]))
+			}
 		}
-		if end >= start+2 {
-			n += end - start - 1
-		}
+		in.paths[path] = head
 	}
-	s := string(e.raw)
-	keys := make([]string, 0, n)
-	for start := 0; start < len(e.seq)-1; start++ {
-		end := start + maxLen
-		if end > len(e.seq) {
-			end = len(e.seq)
-		}
-		for stop := start + 2; stop <= end; stop++ {
-			keys = append(keys, s[start*idBytes:stop*idBytes])
-		}
+	kids := make([]uint32, len(head), len(head)+maxLen-1)
+	copy(kids, head)
+	for start := n - maxLen; start <= n-2; start++ {
+		kids = append(kids, in.keyID(s[start*idBytes:]))
 	}
-	e.keys = keys
+	return kids
 }
 
-// addCounts adds (or, with negative w, removes) every sub-sequence of
-// event i of length >= 2 tokens.
-func (a *analysis) addCounts(i int, w float64) {
-	addSubseqKeys(a.counts, a.ents[i].keys, w)
-}
-
-// addSubseqKeys adds (or, with negative w, removes) an interned entry's
-// cached sub-sequence keys into counts. The keys are already-materialized
-// strings, so the loop allocates nothing — the property the event hot
-// path's allocation budget rests on. Shared between batch analysis and
-// the sliding Window's shard counters; the negative-w path is what makes
-// windows evictable.
-func addSubseqKeys(counts map[string]float64, keys []string, w float64) {
-	for _, key := range keys {
-		n := counts[key] + w
-		if n <= 1e-9 {
-			delete(counts, key)
-		} else {
-			counts[key] = n
-		}
+// keyID returns key's dense ID, interning it on first sight. New keys
+// are substrings of their sequence's byte form and share its backing
+// string.
+func (in *interner) keyID(key string) uint32 {
+	id, ok := in.keyIDs[key]
+	if !ok {
+		id = internIdx(len(in.keys), "sub-sequence key")
+		in.keyIDs[key] = id
+		in.keys = append(in.keys, key)
 	}
+	return id
 }
 
-// best scans the count table for the top-scoring sub-sequence.
-func (a *analysis) best() (key string, score float64, count float64, ok bool) {
-	for k, c := range a.counts {
+// best scans the live keys for the top-scoring sub-sequence.
+func (a *analysis) best() (kid uint32, score float64, count float64, ok bool) {
+	var key string
+	for _, id := range a.counts.live {
+		c := float64(a.counts.n[id]) / weightUnit
 		if c < a.cfg.MinCount {
 			continue
 		}
-		length := len(k) / idBytes
-		s := a.cfg.Score(c, length)
+		k := a.in.keys[id]
+		s := a.cfg.Score(c, len(k)/idBytes)
 		switch {
 		case !ok || s > score:
-			key, score, count, ok = k, s, c, true
+			kid, key, score, count, ok = id, k, s, c, true
 		case s == score:
 			// Deterministic tie-break: longer wins, then smaller token
-			// content. Comparing decoded content instead of raw key bytes
-			// keeps the choice independent of interning order, so a
-			// sliding window (whose interner has seen evicted events) and
-			// a batch run over the same events pick the same winner.
+			// content. Comparing decoded content instead of key IDs keeps
+			// the choice independent of interning order, so a sliding
+			// window (whose interner has seen evicted events) and a batch
+			// run over the same events pick the same winner.
 			if len(k) > len(key) || (len(k) == len(key) && a.in.keyLess(k, key)) {
-				key, count = k, c
+				kid, key, count = id, k, c
 			}
 		}
 	}
-	return key, score, count, ok
+	return kid, score, count, ok
 }
 
 // extract removes and returns the strongest component of the remaining
@@ -403,25 +401,26 @@ func (a *analysis) extract() (Component, bool) {
 	if a.liveN < a.cfg.MinEvents {
 		return Component{}, false
 	}
-	key, score, count, ok := a.best()
+	kid, score, count, ok := a.best()
 	if !ok || score < a.cfg.MinScore {
 		return Component{}, false
 	}
-	want := decodeKey(key)
 
 	// P: prefixes of live events whose sequence contains s', in
 	// first-appearance order.
+	if grow := len(a.in.pfxs) - len(a.pfxMark); grow > 0 {
+		a.pfxMark = append(a.pfxMark, make([]uint32, grow)...)
+	}
+	if a.epoch++; a.epoch == 0 { // wrapped: stale marks could match
+		clear(a.pfxMark)
+		a.epoch = 1
+	}
 	var prefixIDs []uint32
-	seenPfx := make(map[uint32]struct{}, 16)
 	for i, ent := range a.ents {
-		if !a.alive[i] {
-			continue
-		}
-		if seqContains(ent.seq, want) {
-			pid := ent.pid
-			if _, dup := seenPfx[pid]; !dup {
-				seenPfx[pid] = struct{}{}
-				prefixIDs = append(prefixIDs, pid)
+		if a.alive[i] && slices.Contains(ent.kids, kid) {
+			if _, idx := unpackID(ent.pid); a.pfxMark[idx] != a.epoch {
+				a.pfxMark[idx] = a.epoch
+				prefixIDs = append(prefixIDs, ent.pid)
 			}
 		}
 	}
@@ -432,7 +431,8 @@ func (a *analysis) extract() (Component, bool) {
 	// E: every live event touching a prefix in P.
 	var eventIdx []int
 	for _, pid := range prefixIDs {
-		for _, i := range a.eventsByPrefix[pid] {
+		_, idx := unpackID(pid)
+		for _, i := range a.eventsByPrefix[idx] {
 			if a.alive[i] {
 				eventIdx = append(eventIdx, i)
 			}
@@ -442,9 +442,10 @@ func (a *analysis) extract() (Component, bool) {
 	for _, i := range eventIdx {
 		a.alive[i] = false
 		a.liveN--
-		a.addCounts(i, -a.weights[i])
+		a.counts.add(a.ents[i].kids, -a.weights[i])
 	}
 
+	want := decodeKey(a.in.keys[kid])
 	comp := Component{
 		Score:    score,
 		Count:    int(count + 0.5),
@@ -483,21 +484,4 @@ func decodeKey(key string) []uint32 {
 		out[i] = binary.BigEndian.Uint32([]byte(key[i*idBytes : (i+1)*idBytes]))
 	}
 	return out
-}
-
-// seqContains reports whether want occurs as a contiguous run in seq.
-func seqContains(seq, want []uint32) bool {
-	if len(want) == 0 || len(want) > len(seq) {
-		return false
-	}
-outer:
-	for i := 0; i+len(want) <= len(seq); i++ {
-		for j, id := range want {
-			if seq[i+j] != id {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
 }

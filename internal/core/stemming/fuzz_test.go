@@ -13,9 +13,10 @@ import (
 )
 
 // FuzzWindowShardEquivalence is the property behind the parallel
-// analysis engine: for ANY event batch and ANY shard count, the
-// per-shard count tables and per-prefix event lists must merge to
-// exactly what a single-sharded window computes over the same batch.
+// analysis engine: for ANY event batch and ANY shard count, the count
+// table and the merged per-prefix event lists must be exactly what a
+// single-sharded window computes over the same batch, and the
+// decomposition must match the map-based oracle (refAnalyze).
 // Inputs are text-codec lines (seeded from the event codec fuzz corpus)
 // plus a synthetic tail of byte-derived events — random peers, prefixes
 // and announce/withdraw mixes — so the property is exercised even when
@@ -55,7 +56,7 @@ func FuzzWindowShardEquivalence(f *testing.F) {
 			}
 		}
 
-		if got, want := mergedCounts(sharded), mergedCounts(single); !reflect.DeepEqual(got, want) {
+		if got, want := mergedCounts(t, sharded), mergedCounts(t, single); !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d: merged counts diverge from sequential\n got %d keys, want %d keys", shards, len(got), len(want))
 		}
 		if got, want := mergedEvents(sharded), mergedEvents(single); !reflect.DeepEqual(got, want) {
@@ -64,24 +65,53 @@ func FuzzWindowShardEquivalence(f *testing.F) {
 		if got, want := sharded.Snapshot(), single.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d: components diverge\n got %+v\nwant %+v", shards, got, want)
 		}
+		if got, want := single.Snapshot(), refAnalyze(single.Events(), Config{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("components diverge from the map-based oracle\n got %+v\nwant %+v", got, want)
+		}
 	})
 }
 
-// mergedCounts settles a window and merges every shard's count table,
-// exactly as Snapshot does internally.
-func mergedCounts(w *Window) map[string]float64 {
-	w.settle()
-	dst := make(map[string]float64)
-	for _, sh := range w.shards {
-		sh.mergeCounts(dst)
+// mergedCounts returns a window's exact fixed-point counts keyed by the
+// decoded sub-sequence, so windows whose interners assigned different
+// IDs still compare. It fails the test when the live-ID list and the
+// nonzero counts disagree.
+func mergedCounts(t *testing.T, w *Window) map[string]int64 {
+	t.Helper()
+	dst := make(map[string]int64)
+	for _, id := range w.counts.live {
+		dst[decodedKey(w.in, id)] = w.counts.n[id]
+	}
+	nonzero := 0
+	for id, c := range w.counts.n {
+		if c != 0 {
+			nonzero++
+			if w.counts.at[id] == 0 {
+				t.Fatalf("key %s has count %d but is not live", decodedKey(w.in, uint32(id)), c)
+			}
+		}
+	}
+	if nonzero != len(w.counts.live) {
+		t.Fatalf("%d live keys, %d nonzero counts", len(w.counts.live), nonzero)
 	}
 	return dst
 }
 
+// decodedKey renders key ID id in display form.
+func decodedKey(in *interner, id uint32) string {
+	var b strings.Builder
+	for i, tok := range decodeKey(in.keys[id]) {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(in.token(tok).String())
+	}
+	return b.String()
+}
+
 // mergedEvents settles a window and merges the per-prefix live lists.
-func mergedEvents(w *Window) map[uint32][]int {
+func mergedEvents(w *Window) [][]int {
 	w.settle()
-	dst := make(map[uint32][]int)
+	dst := make([][]int, len(w.in.pfxs))
 	for _, sh := range w.shards {
 		sh.mergeEvents(dst, w.headID, nil)
 	}

@@ -1,21 +1,17 @@
 package stemming
 
-// The sliding window's mergeable per-shard count structure. Each shard
-// owns the ±weight sub-sequence count table and the per-prefix live
-// event lists for the prefixes hashed to it. Because prefixes partition
-// across shards, shard tables never share a key owner: counts merge
-// into a combined table by plain summation and the per-prefix event
-// lists merge by disjoint union — the properties the parallel analysis
-// engine's determinism rests on (DESIGN.md §10).
+// The sliding window's mergeable per-shard event index. Each shard owns
+// the per-prefix live event lists for the prefixes hashed to it.
+// Because prefixes partition across shards, the lists merge by disjoint
+// union — the property the parallel analysis engine's determinism rests
+// on (DESIGN.md §10). The sub-sequence counts are not sharded: the
+// Window keeps one exact fixed-point table (see countTable).
 
-// countOp is one buffered shard operation. Ops reference the interned
-// sequence entry (which owns the seq, raw bytes, prefix ID and cached
-// sub-sequence keys) so a ring slot can be reused before its eviction
-// settles, and applying the op allocates nothing.
+// countOp is one buffered shard operation: event id entering (or, with
+// evict, leaving) prefix pid's live list.
 type countOp struct {
 	id    uint64
-	ent   *seqEntry
-	w     float64
+	pid   uint32
 	evict bool
 }
 
@@ -31,25 +27,20 @@ type idList struct {
 	head int
 }
 
-// countShard owns the counts for the prefixes hashed to it.
+// countShard owns the live event lists of the prefixes hashed to it.
 type countShard struct {
-	counts   map[string]float64
 	byPrefix map[uint32]*idList // live event IDs per prefix, arrival order
 	pending  []countOp
 }
 
 func newCountShard() *countShard {
-	return &countShard{
-		counts:   make(map[string]float64, 1024),
-		byPrefix: make(map[uint32]*idList, 64),
-	}
+	return &countShard{byPrefix: make(map[uint32]*idList, 64)}
 }
 
 // apply replays the shard's buffered ops in order.
 func (sh *countShard) apply() {
 	for _, op := range sh.pending {
-		addSubseqKeys(sh.counts, op.ent.keys, op.w)
-		pid := op.ent.pid
+		pid := op.pid
 		l := sh.byPrefix[pid]
 		if !op.evict {
 			if l == nil {
@@ -85,22 +76,14 @@ func (sh *countShard) apply() {
 	sh.pending = sh.pending[:0]
 }
 
-// mergeCounts sums the shard's settled count table into dst. Safe to
-// call for every shard against one destination: shards count disjoint
-// event sets, so summation is the exact combined table.
-func (sh *countShard) mergeCounts(dst map[string]float64) {
-	for k, c := range sh.counts {
-		dst[k] += c
-	}
-}
-
-// mergeEvents copies the shard's live event lists into dst, rebasing
-// event IDs to indexes relative to head. Prefix keys never collide
-// across shards (each prefix lives in exactly one shard). The value
-// slices are carved from arena while it has spare capacity (the reused
-// snapshot scratch presizes it to the window length), falling back to
-// fresh allocations when it runs out; the extended arena is returned.
-func (sh *countShard) mergeEvents(dst map[uint32][]int, head uint64, arena []int) []int {
+// mergeEvents copies the shard's live event lists into dst (indexed by
+// prefix intern index), rebasing event IDs to indexes relative to head.
+// Prefixes never collide across shards (each lives in exactly one). The
+// value slices are carved from arena while it has spare capacity (the
+// reused snapshot scratch presizes it to the window length), falling
+// back to fresh allocations when it runs out; the extended arena is
+// returned.
+func (sh *countShard) mergeEvents(dst [][]int, head uint64, arena []int) []int {
 	for pid, l := range sh.byPrefix {
 		ids := l.ids[l.head:]
 		if len(ids) == 0 {
@@ -116,7 +99,8 @@ func (sh *countShard) mergeEvents(dst map[uint32][]int, head uint64, arena []int
 		for i, id := range ids {
 			idxs[i] = int(id - head)
 		}
-		dst[pid] = idxs
+		_, idx := unpackID(pid)
+		dst[idx] = idxs
 	}
 	return arena
 }

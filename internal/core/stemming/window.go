@@ -9,32 +9,32 @@ import (
 	"rex/internal/event"
 )
 
-// Window maintains the Stemming count tables over a sliding set of
+// Window maintains the Stemming count table over a sliding set of
 // events, so a live feed can be decomposed repeatedly without re-counting
 // the whole window each time. Events enter with Add and leave in arrival
-// (FIFO) order with EvictBefore; both directions reuse the batch
-// analysis' count arithmetic — eviction is an add with negative weight.
+// (FIFO) order with EvictBefore; both directions update the one
+// fixed-point count table inline — eviction is an add with negative
+// weight, and cancels exactly.
 //
-// Sub-sequence counting is sharded by a content hash of the event's
-// prefix (see ShardFor): every event of one prefix lands in the same
-// shard, so each shard owns a
-// disjoint slice of the per-prefix event lists and the count tables merge
-// by plain summation at snapshot time. Adds and evictions are buffered
+// The per-prefix live event lists are sharded by a content hash of the
+// event's prefix (see ShardFor): every event of one prefix lands in the
+// same shard, so each shard owns a disjoint slice of the lists and they
+// merge by disjoint union at snapshot time. List updates are buffered
 // and settled in batches — by default one goroutine per shard, or on the
-// caller's worker pool via Runner — which is what lets window turnover
-// on ISP-scale streams use every core.
+// caller's worker pool via Runner.
 //
 // A Window is NOT safe for concurrent use: one goroutine calls Add,
 // EvictBefore and Snapshot. The parallelism is internal.
 type Window struct {
 	cfg    Config
 	in     *interner
+	counts countTable
 	shards []*countShard
 
 	// OnSettle, when set, observes each batch settle: the wall-clock
-	// time the parallel shard apply took and how many buffered ops it
-	// drained. Set it before the first Add (the pipeline points it at a
-	// latency histogram); nil costs nothing.
+	// time the parallel shard list apply took and how many buffered ops
+	// it drained. Set it before the first Add (the pipeline points it at
+	// a latency histogram); nil costs nothing.
 	OnSettle func(elapsed time.Duration, ops int)
 
 	// Runner, when set, executes the n shard-settle tasks of a batch:
@@ -54,10 +54,10 @@ type Window struct {
 	pendingOps  int
 	settleBatch int
 
-	// snap is the reused Snapshot scratch (slices regrown in place, maps
-	// cleared with buckets retained); active is the settle loop's shard
-	// scratch. Both exist so steady-state window turnover allocates
-	// nothing beyond genuinely new interned sequences.
+	// snap is the reused Snapshot scratch (slices regrown or cleared in
+	// place); active is the settle loop's shard scratch. Both exist so
+	// steady-state window turnover allocates nothing beyond genuinely
+	// new interned sequences.
 	snap   *analysis
 	active []*countShard
 }
@@ -67,7 +67,7 @@ type winEvent struct {
 	ev    event.Event
 	ent   *seqEntry
 	shard int
-	w     float64
+	w     int64 // fixed-point weight
 }
 
 // defaultSettleBatch is how many buffered ops trigger a parallel settle.
@@ -131,14 +131,16 @@ func shardOfPrefix(p netip.Prefix, n int) int {
 // count shard it was routed to.
 func (w *Window) Add(e event.Event) int {
 	ent := w.in.seqFor(&e)
-	weight := 1.0
+	weight := int64(weightUnit)
 	if w.cfg.Weight != nil {
 		// Hand the callback its own copy: &e flowing into an arbitrary
 		// function would force every Add's argument onto the heap, even
 		// with Weight unset.
 		ec := e
-		weight = w.cfg.Weight(&ec)
+		weight = quantize(w.cfg.Weight(&ec))
 	}
+	w.counts.fit(len(w.in.keys))
+	w.counts.add(ent.kids, weight)
 	if w.nextID-w.headID == uint64(len(w.ring)) {
 		w.grow()
 	}
@@ -147,7 +149,7 @@ func (w *Window) Add(e event.Event) int {
 	shard := shardOfPrefix(e.Prefix, len(w.shards))
 	w.ring[id%uint64(len(w.ring))] = winEvent{ev: e, ent: ent, shard: shard, w: weight}
 	sh := w.shards[shard]
-	sh.pending = append(sh.pending, countOp{id: id, ent: ent, w: weight})
+	sh.pending = append(sh.pending, countOp{id: id, pid: ent.pid})
 	w.pendingOps++
 	if w.pendingOps >= w.settleBatch {
 		w.settle()
@@ -170,8 +172,9 @@ func (w *Window) EvictBefore(cutoff time.Time) int {
 		if !we.ev.Time.Before(cutoff) {
 			break
 		}
+		w.counts.add(we.ent.kids, -we.w)
 		sh := w.shards[we.shard]
-		sh.pending = append(sh.pending, countOp{id: w.headID, ent: we.ent, w: -we.w, evict: true})
+		sh.pending = append(sh.pending, countOp{id: w.headID, pid: we.ent.pid, evict: true})
 		w.pendingOps++
 		*we = winEvent{} // drop references so evicted attrs can be collected
 		w.headID++
@@ -193,8 +196,8 @@ func (w *Window) grow() {
 	w.ring = bigger
 }
 
-// settle drains every shard's buffered ops into its count tables, in
-// parallel when more than one shard has work.
+// settle drains every shard's buffered ops into its live event lists,
+// in parallel when more than one shard has work.
 func (w *Window) settle() {
 	if w.pendingOps == 0 {
 		return
@@ -275,15 +278,33 @@ func (w *Window) TimeRange() (first, last time.Time, ok bool) {
 // strongest first — the same result Analyze would produce on the slice
 // Events() returns, computed from the incrementally maintained tables.
 // The window itself is not modified; Add/Evict may continue afterwards.
-// The analysis scratch (per-event slices, the merged count table and the
+// The analysis scratch (per-event slices, the count table copy and the
 // per-prefix index lists) is owned by the window and reused across
 // calls, so a steady-state snapshot allocates only its result.
 func (w *Window) Snapshot() []Component {
-	w.settle()
-	n := w.Len()
-	if n == 0 {
+	if w.Len() == 0 {
+		w.settle()
 		return nil
 	}
+	a := w.prepare()
+	var out []Component
+	for len(out) < a.cfg.MaxComponents {
+		comp, ok := a.extract()
+		if !ok {
+			break
+		}
+		out = append(out, comp)
+	}
+	return out
+}
+
+// prepare settles the window and loads the reused snapshot scratch with
+// the live events, a copy of the live counts, and the merged per-prefix
+// lists. The extraction loop mutates the copy; the window's tables stay
+// authoritative. The copy costs O(live keys), never O(keys interned).
+func (w *Window) prepare() *analysis {
+	w.settle()
+	n := w.Len()
 	if w.snap == nil {
 		w.snap = &analysis{cfg: w.cfg, in: w.in}
 	}
@@ -296,20 +317,10 @@ func (w *Window) Snapshot() []Component {
 		a.weights[i] = we.w
 		a.alive[i] = true
 	}
-	// Merge: each prefix lives in exactly one shard, so the per-prefix
-	// lists never collide and counts merge by summation. The extraction
-	// loop mutates its copy; the shard tables stay authoritative.
+	a.counts.load(&w.counts)
+	// Each prefix lives in exactly one shard, so the lists never collide.
 	for _, sh := range w.shards {
-		sh.mergeCounts(a.counts)
 		a.idxArena = sh.mergeEvents(a.eventsByPrefix, w.headID, a.idxArena)
 	}
-	var out []Component
-	for len(out) < a.cfg.MaxComponents {
-		comp, ok := a.extract()
-		if !ok {
-			break
-		}
-		out = append(out, comp)
-	}
-	return out
+	return a
 }

@@ -66,9 +66,10 @@ func TestWindowMatchesBatchNoEviction(t *testing.T) {
 
 // TestWindowSlidingEquivalence is the headline acceptance test: slide a
 // time window across a long stream — evicting incrementally, snapshotting
-// repeatedly — and at every step the snapshot must equal batch Analyze on
-// exactly the live window contents. Exercises ring growth (window holds
-// more than the initial ring capacity) and small settle batches.
+// repeatedly — and at every step the snapshot must equal batch Analyze,
+// and the map-based oracle, on exactly the live window contents.
+// Exercises ring growth (window holds more than the initial ring
+// capacity) and small settle batches.
 func TestWindowSlidingEquivalence(t *testing.T) {
 	const n = 3000
 	s := windyStream(n, 42)
@@ -82,7 +83,9 @@ func TestWindowSlidingEquivalence(t *testing.T) {
 		w.EvictBefore(e.Time.Add(-window))
 		if i > 0 && i%500 == 0 {
 			live := w.Events()
-			requireSameComponents(t, w.Snapshot(), Analyze(live, Config{}))
+			got := w.Snapshot()
+			requireSameComponents(t, got, Analyze(live, Config{}))
+			requireSameComponents(t, got, refAnalyze(live, Config{}))
 			// And the window holds exactly the in-window suffix.
 			var want event.Stream
 			cutoff := e.Time.Add(-window)
